@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,6 +74,11 @@ type logFile struct {
 	firstIndex uint64
 	lastIndex  uint64
 	size       int64
+	// rf is the read-only handle every reader of this file shares,
+	// opened on first read (guarded by Log.mu). It is closed when the
+	// file leaves the log (purge, truncation, ResetTo) and on Close and
+	// Crash.
+	rf *os.File
 }
 
 // Log is a file-backed replicated-log store. All methods are safe for
@@ -551,180 +557,171 @@ func (l *Log) Persona() Persona {
 // the historical-read path the leader uses when a lagging follower needs
 // entries that have fallen out of the in-memory cache (§3.1).
 func (l *Log) Entry(index uint64) (*Entry, error) {
-	l.mu.Lock()
-	loc, ok := l.offsets[index]
-	if !ok {
-		l.mu.Unlock()
-		return nil, fmt.Errorf("%w: index %d", ErrNotFound, index)
-	}
-	if loc.file == l.active {
-		if err := l.flushLocked(); err != nil {
-			l.mu.Unlock()
-			return nil, err
-		}
-	}
-	path := filepath.Join(l.dir, loc.file.name)
-	l.mu.Unlock()
-
-	data := make([]byte, loc.length)
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("binlog: open %s: %w", path, err)
-	}
-	defer f.Close()
-	if _, err := f.ReadAt(data, loc.offset); err != nil {
-		return nil, fmt.Errorf("binlog: read entry %d: %w", index, err)
-	}
-	e, _, err := readEntryAt(data, 0, loc.file.name)
+	entries, err := l.Entries(index, index)
 	if err != nil {
 		return nil, err
 	}
-	if e == nil {
-		return nil, &ErrCorrupt{File: loc.file.name, Offset: loc.offset, Reason: "short entry"}
-	}
-	if e.OpID.Index != index {
-		return nil, &ErrCorrupt{File: loc.file.name, Offset: loc.offset, Reason: "index mismatch"}
-	}
-	return e, nil
+	return entries[0], nil
 }
 
-// Entries reads the contiguous range [from, to] with one open and one
-// read per spanned file (Entry's open-per-index cost would serialize a
-// batch consumer like the parallel applier behind file I/O).
+// Entries reads the contiguous range [from, to] with one read per spanned
+// file (a per-index read would serialize a batch consumer like the
+// parallel applier behind file I/O).
 func (l *Log) Entries(from, to uint64) ([]*Entry, error) {
 	if to < from {
 		return nil, nil
 	}
-	l.mu.Lock()
-	if err := l.flushLocked(); err != nil {
-		l.mu.Unlock()
-		return nil, err
-	}
-	// Coalesce the per-entry locations into one contiguous byte span per
-	// file (entries are laid out back to back within a file).
-	type span struct {
-		name   string
-		offset int64
-		length int64
-		count  int
-	}
-	var spans []span
-	for idx := from; idx <= to; {
-		loc, ok := l.offsets[idx]
-		if !ok {
-			l.mu.Unlock()
-			return nil, fmt.Errorf("%w: index %d", ErrNotFound, idx)
-		}
-		sp := span{name: loc.file.name, offset: loc.offset, count: 1}
-		end := loc.offset + loc.length
-		for idx++; idx <= to; idx++ {
-			next, ok := l.offsets[idx]
-			if !ok || next.file != loc.file {
-				break
-			}
-			end = next.offset + next.length
-			sp.count++
-		}
-		sp.length = end - sp.offset
-		spans = append(spans, sp)
-	}
-	dir := l.dir
-	l.mu.Unlock()
-
 	entries := make([]*Entry, 0, to-from+1)
-	for _, sp := range spans {
-		data := make([]byte, sp.length)
-		f, err := os.Open(filepath.Join(dir, sp.name))
-		if err != nil {
-			return nil, fmt.Errorf("binlog: open %s: %w", sp.name, err)
-		}
-		_, err = f.ReadAt(data, sp.offset)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("binlog: read span %s: %w", sp.name, err)
-		}
-		pos := int64(0)
-		for i := 0; i < sp.count; i++ {
-			e, n, err := readEntryAt(data, pos, sp.name)
-			if err != nil {
-				return nil, err
-			}
-			if e == nil {
-				return nil, &ErrCorrupt{File: sp.name, Offset: sp.offset + pos, Reason: "short entry in span"}
-			}
-			entries = append(entries, e)
-			pos += n
-		}
-	}
-	if want := to - from + 1; uint64(len(entries)) != want || entries[0].OpID.Index != from {
-		return nil, fmt.Errorf("binlog: range [%d,%d] resolved to %d entries", from, to, len(entries))
+	err := l.readRange(from, to, math.MaxInt64, func(e *Entry) bool {
+		entries = append(entries, e)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return entries, nil
 }
 
+// scanChunk bounds one read of Scan: a scan that stops early (a raft
+// catch-up batch) reads little past what it uses, and a long scan (a
+// recovery pass) needs no whole-file buffer.
+const scanChunk = 64 << 10
+
 // Scan calls fn for each entry with index >= from, in order, until fn
-// returns false or the tail is reached. Files are read sequentially (one
-// read per file, not per entry), so scanning a recovered log is cheap
-// even for large histories.
+// returns false or the tail as of the call is reached. It starts at
+// from's offset and reads the files sequentially in chunks of up to
+// scanChunk bytes, so a short scan costs one read and a recovery pass
+// over a large history stays cheap.
 func (l *Log) Scan(from uint64, fn func(*Entry) bool) error {
 	l.mu.Lock()
-	if err := l.flushLocked(); err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	type fileRange struct {
-		name        string
-		first, last uint64
-	}
-	var files []fileRange
-	for _, f := range l.files {
-		if f.firstIndex == 0 || f.lastIndex < from {
-			continue
-		}
-		files = append(files, fileRange{name: f.name, first: f.firstIndex, last: f.lastIndex})
-	}
-	lastIndex := l.lastOpID.Index
-	dir := l.dir
+	from = max(from, l.firstIndex)
+	last := l.lastOpID.Index
+	empty := l.firstIndex == 0
 	l.mu.Unlock()
+	if empty {
+		return nil
+	}
+	return l.readRange(from, last, scanChunk, fn)
+}
 
-	for _, fr := range files {
-		data, err := os.ReadFile(filepath.Join(dir, fr.name))
+// span is a run of consecutive entries laid out back to back in one file.
+type span struct {
+	rf      *os.File
+	private bool // rf was opened for this span alone (the log is closed)
+	name    string
+	offset  int64
+	length  int64
+	first   uint64 // index of the span's first entry
+	count   int
+}
+
+// readRange hands the entries [from, to] to fn in order, reading at most
+// about maxBytes per file read, until fn returns false. An index that is
+// not on disk fails with ErrNotFound.
+func (l *Log) readRange(from, to uint64, maxBytes int64, fn func(*Entry) bool) error {
+	for from <= to {
+		l.mu.Lock()
+		sp, err := l.spanLocked(from, to, maxBytes)
+		l.mu.Unlock()
 		if err != nil {
-			return fmt.Errorf("binlog: scan %s: %w", fr.name, err)
+			return err
 		}
-		pos := int64(len(magic))
-		for i := 0; i < 2; i++ { // skip header events
-			ev, n, err := decodeEvent(data[pos:])
-			if err != nil || ev == nil {
-				return &ErrCorrupt{File: fr.name, Offset: pos, Reason: "bad header during scan"}
-			}
-			pos += int64(n)
+		more, err := sp.read(fn)
+		if err != nil || !more {
+			return err
 		}
-		// Skip the optional snapshot-anchor header event.
-		if ev, n, err := decodeEvent(data[pos:]); err == nil && ev != nil && ev.typ == EventSnapshotAnchor {
-			pos += int64(n)
-		}
-		for {
-			e, n, err := readEntryAt(data, pos, fr.name)
-			if err != nil {
-				return err
-			}
-			if e == nil {
-				break
-			}
-			pos += n
-			if e.OpID.Index < from {
-				continue
-			}
-			if e.OpID.Index > lastIndex {
-				return nil
-			}
-			if !fn(e) {
-				return nil
-			}
-		}
+		from += uint64(sp.count)
 	}
 	return nil
+}
+
+// spanLocked resolves the run of entries from from to at most to that
+// lies in from's file, cut once it covers maxBytes (it always holds at
+// least one entry). mu must be held.
+func (l *Log) spanLocked(from, to uint64, maxBytes int64) (span, error) {
+	loc, ok := l.offsets[from]
+	if !ok {
+		return span{}, fmt.Errorf("%w: index %d", ErrNotFound, from)
+	}
+	if loc.file == l.active {
+		if err := l.flushLocked(); err != nil {
+			return span{}, err
+		}
+	}
+	sp := span{name: loc.file.name, offset: loc.offset, first: from, count: 1}
+	end := loc.offset + loc.length
+	for idx := from + 1; idx <= to && end-sp.offset < maxBytes; idx++ {
+		next, ok := l.offsets[idx]
+		if !ok || next.file != loc.file {
+			break
+		}
+		end = next.offset + next.length
+		sp.count++
+	}
+	sp.length = end - sp.offset
+	var err error
+	sp.rf, sp.private, err = l.readerLocked(loc.file)
+	return sp, err
+}
+
+// readerLocked returns lf's shared read handle, opening it on first use.
+// Once the log is closed (or crashed) nothing may hold a handle, so each
+// read opens a private one the reader closes itself. mu must be held.
+func (l *Log) readerLocked(lf *logFile) (*os.File, bool, error) {
+	if lf.rf != nil {
+		return lf.rf, false, nil
+	}
+	f, err := os.Open(filepath.Join(l.dir, lf.name))
+	if err != nil {
+		return nil, false, fmt.Errorf("binlog: open %s: %w", lf.name, err)
+	}
+	if l.w == nil {
+		return f, true, nil
+	}
+	lf.rf = f
+	return f, false, nil
+}
+
+// closeReaders releases the shared read handles of files. A read racing
+// the close fails cleanly (os.File serializes Close against ReadAt) and
+// its caller sees an error, as it would for a file already unlinked.
+func closeReaders(files []*logFile) {
+	for _, f := range files {
+		if f.rf != nil {
+			f.rf.Close()
+			f.rf = nil
+		}
+	}
+}
+
+// read reads the span with one ReadAt (outside mu) and hands its entries
+// to fn in order, reporting whether fn wants more.
+func (sp span) read(fn func(*Entry) bool) (bool, error) {
+	if sp.private {
+		defer sp.rf.Close()
+	}
+	data := make([]byte, sp.length)
+	if _, err := sp.rf.ReadAt(data, sp.offset); err != nil {
+		return false, fmt.Errorf("binlog: read %s at %d: %w", sp.name, sp.offset, err)
+	}
+	pos := int64(0)
+	for i := 0; i < sp.count; i++ {
+		e, n, err := readEntryAt(data, pos, sp.name)
+		if err != nil {
+			return false, err
+		}
+		if e == nil {
+			return false, &ErrCorrupt{File: sp.name, Offset: sp.offset + pos, Reason: "short entry"}
+		}
+		if e.OpID.Index != sp.first+uint64(i) {
+			return false, &ErrCorrupt{File: sp.name, Offset: sp.offset + pos, Reason: "index mismatch"}
+		}
+		if !fn(e) {
+			return false, nil
+		}
+		pos += n
+	}
+	return true, nil
 }
 
 // TruncateAfter removes every entry with index > index and returns the
@@ -745,19 +742,9 @@ func (l *Log) TruncateAfter(index uint64) ([]*Entry, error) {
 		if !ok {
 			continue
 		}
-		data := make([]byte, loc.length)
-		rf, err := os.Open(filepath.Join(l.dir, loc.file.name))
+		e, err := l.entryAtLocked(loc)
 		if err != nil {
-			return nil, fmt.Errorf("binlog: truncate read: %w", err)
-		}
-		_, rerr := rf.ReadAt(data, loc.offset)
-		rf.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("binlog: truncate read: %w", rerr)
-		}
-		e, _, err := readEntryAt(data, 0, loc.file.name)
-		if err != nil || e == nil {
-			return nil, fmt.Errorf("binlog: truncate decode %d: %v", idx, err)
+			return nil, fmt.Errorf("binlog: truncate read %d: %w", idx, err)
 		}
 		removed = append(removed, e)
 		if e.HasGTID {
@@ -773,6 +760,7 @@ func (l *Log) TruncateAfter(index uint64) ([]*Entry, error) {
 		keep--
 	}
 	tail := l.files[keep]
+	closeReaders(l.files[keep+1:])
 	for _, f := range l.files[keep+1:] {
 		if err := os.Remove(filepath.Join(l.dir, f.name)); err != nil {
 			return nil, fmt.Errorf("binlog: remove %s: %w", f.name, err)
@@ -838,11 +826,13 @@ func (l *Log) TruncateAfter(index uint64) ([]*Entry, error) {
 // the writer flushed.
 func (l *Log) entryAtLocked(loc entryLoc) (*Entry, error) {
 	data := make([]byte, loc.length)
-	f, err := os.Open(filepath.Join(l.dir, loc.file.name))
+	f, private, err := l.readerLocked(loc.file)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	if private {
+		defer f.Close()
+	}
 	if _, err := f.ReadAt(data, loc.offset); err != nil {
 		return nil, err
 	}
@@ -905,6 +895,7 @@ func (l *Log) ResetTo(op opid.OpID, gtids *gtid.Set) error {
 	l.f = nil
 	l.w = nil
 	old := l.files
+	closeReaders(old)
 	l.files = nil
 	l.active = nil
 	l.offsets = make(map[uint64]entryLoc)
@@ -952,6 +943,7 @@ func (l *Log) PurgeTo(index uint64) error {
 	if cut == 0 {
 		return nil
 	}
+	closeReaders(l.files[:cut])
 	for _, f := range l.files[:cut] {
 		for idx := f.firstIndex; idx != 0 && idx <= f.lastIndex; idx++ {
 			delete(l.offsets, idx)
@@ -1024,12 +1016,14 @@ func (l *Log) Crash() {
 		l.f = nil
 		l.w = nil
 	}
+	closeReaders(l.files)
 }
 
 // Close flushes and closes the active file.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	closeReaders(l.files)
 	if l.f == nil {
 		return nil
 	}

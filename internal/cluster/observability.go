@@ -64,6 +64,9 @@ func (m *Member) refreshMetrics() {
 	reg.Gauge("raft_commit_index").Set(int64(st.CommitIndex))
 	reg.Gauge("raft_last_index").Set(int64(st.LastOpID.Index))
 	reg.Gauge("raft_first_index").Set(int64(st.FirstIndex))
+	reg.Gauge("raft_cache_entries").Set(int64(st.Cache.Entries))
+	reg.Gauge("raft_cache_bytes").Set(st.Cache.Bytes)
+	reg.Gauge("raft_cache_store_reads").Set(int64(st.Cache.StoreReads))
 
 	ds := node.DurabilityStats()
 	reg.Gauge("raft_durable_index").Set(int64(ds.DurableIndex))

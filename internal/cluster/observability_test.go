@@ -183,3 +183,38 @@ func TestTraceSamplingDisabled(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheGaugesTrackWindow: each member's entry-cache gauges follow the
+// replication window, not the log: after a burst of writes settles, every
+// member holds about one entry however many were written.
+func TestCacheGaugesTrackWindow(t *testing.T) {
+	c := bootCluster(t, testOptions(t, nil), PaperTopology(2, 0))
+	client := c.NewClient(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < 200; i++ {
+		if _, err := client.Write(ctx, fmt.Sprintf("w%d", i), make([]byte, 500)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		settled := true
+		var report []string
+		for _, mr := range c.MemberRegistries() {
+			snap := mr.Reg.Snapshot()
+			entries, bytes := snap["raft_cache_entries"], snap["raft_cache_bytes"]
+			report = append(report, fmt.Sprintf("%s=%d/%dB", mr.ID, entries, bytes))
+			if entries < 1 || entries > 2 || bytes <= 0 || bytes > 4096 {
+				settled = false
+			}
+		}
+		if settled {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cache windows did not settle after 200 writes: %s", strings.Join(report, " "))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}

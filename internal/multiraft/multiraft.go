@@ -461,6 +461,12 @@ type NodeRegistry struct {
 // order.
 func (rt *Runtime) NodeRegistries() []NodeRegistry {
 	byNode := rt.LeadersByNode()
+	// A node's link backlog peak is the largest high-water mark among the
+	// simulated links it sends on: how much in-flight traffic it queued.
+	backlogPeak := make(map[wire.NodeID]int)
+	for link, peak := range rt.net.Stats().LinkBacklogPeak {
+		backlogPeak[link[0]] = max(backlogPeak[link[0]], peak)
+	}
 	out := make([]NodeRegistry, 0, len(rt.opts.Specs))
 	for _, spec := range rt.opts.Specs {
 		id := spec.ID
@@ -469,6 +475,7 @@ func (rt *Runtime) NodeRegistries() []NodeRegistry {
 			continue
 		}
 		reg.Gauge("multiraft_leaders_held").Set(int64(len(byNode[id])))
+		reg.Gauge("transport_link_backlog_peak").Set(int64(backlogPeak[id]))
 		if d := rt.demuxes[id]; d != nil {
 			st := d.Stats()
 			var flushes int64

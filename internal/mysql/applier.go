@@ -353,19 +353,18 @@ func (a *applier) run(done chan struct{}) {
 
 // applyRange applies entries [from, to] to the engine in bounded chunks,
 // returning the last index applied and whether the whole range succeeded.
-// Each chunk is read with one sequential log scan (per-entry reads open
-// the log file per call, which would serialize the whole applier behind
-// file I/O); multi-entry chunks then go through the parallel scheduler
-// when workers are configured, while a chunk of one (the steady-state
-// shape when a caught-up replica sees entries trickle in) skips the
-// scheduling machinery entirely.
+// Each chunk is read with one ranged log read (one read per spanned file
+// through the log's shared read handles); multi-entry chunks then go
+// through the parallel scheduler when workers are configured, while a
+// chunk of one (the steady-state shape when a caught-up replica sees
+// entries trickle in) skips the scheduling machinery entirely.
 func (a *applier) applyRange(from, to uint64) (uint64, bool) {
 	last := from - 1
 	for last < to {
 		chunkFrom, chunkTo := last+1, min(last+maxApplyBatch, to)
-		entries, err := a.readEntries(chunkFrom, chunkTo)
+		entries, err := a.s.log.Entries(chunkFrom, chunkTo)
 		if err != nil {
-			a.setErr(err)
+			a.setErr(fmt.Errorf("read [%d,%d]: %w", chunkFrom, chunkTo, err))
 			return last, false
 		}
 		if a.workers > 1 && len(entries) > 1 {
@@ -389,23 +388,6 @@ func (a *applier) applyRange(from, to uint64) (uint64, bool) {
 		}
 	}
 	return last, true
-}
-
-// readEntries fetches [from, to] from the relay log: a single sequential
-// scan for ranges, one point read for a single entry.
-func (a *applier) readEntries(from, to uint64) ([]*binlog.Entry, error) {
-	if to == from {
-		e, err := a.s.log.Entry(from)
-		if err != nil {
-			return nil, fmt.Errorf("read %d: %w", from, err)
-		}
-		return []*binlog.Entry{e}, nil
-	}
-	entries, err := a.s.log.Entries(from, to)
-	if err != nil {
-		return nil, fmt.Errorf("read [%d,%d]: %w", from, to, err)
-	}
-	return entries, nil
 }
 
 func (a *applier) setErr(err error) {

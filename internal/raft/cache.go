@@ -1,210 +1,151 @@
 package raft
 
 import (
-	"bytes"
-	"compress/flate"
-	"io"
-	"sync"
-
-	"myraft/internal/opid"
+	"myraft/internal/deque"
 	"myraft/internal/wire"
 )
 
-// entryCache is the leader/proxy in-memory log cache (§3.1, §3.4): recent
-// entries are kept in memory so replication and proxy reconstitution do
-// not need to parse binlog files; entries that fall out of the window are
-// read back through the LogStore's historical path.
+// entryCache is a member's in-memory log window (§3.1, §3.4): replication
+// and proxy reconstitution read recent entries from it instead of parsing
+// binlog files. It keeps only entries some peer may still need from this
+// member — on a leader everything from the lowest peer match up, on a
+// follower everything from its commit index up (Node.trimCache moves the
+// floor as match and commit advance) — so its size follows the
+// replication window, not the write rate or the log length. A byte cap
+// bounds the worst case (a peer down, a follower that stops learning
+// commits) by evicting from the front; the send path reads evicted
+// entries back from the log store in one ranged read.
 //
-// Per §3.4 ("Raft compresses the transaction and stores it in its
-// in-memory cache"), payloads above a threshold are kept flate-compressed
-// and transparently decompressed on read, trading a little CPU for cache
-// density.
+// The paper also compresses cached payloads (§3.4). A window-sized cache
+// holds a handful of entries in steady state, so there is nothing to win
+// from compression and it is not done.
 //
 // The cache is owned by the node's event loop and needs no locking.
 type entryCache struct {
-	entries  map[uint64]*cachedEntry
-	first    uint64 // lowest cached index, 0 when empty
-	last     uint64 // highest cached index, 0 when empty
-	cap      int
-	compress bool
+	ents  deque.Deque[wire.LogEntry] // ents.At(i) holds index first+i
+	first uint64                     // index of the oldest entry, 0 when empty
+	bytes int64                      // sum of entryCost over the window
+	cap   int64
 }
 
-// cachedEntry is one cache slot; payload is stored compressed when that
-// actually saves space.
-type cachedEntry struct {
-	meta       wire.LogEntry // Payload nil; header fields only
-	payload    []byte
-	compressed bool
-	rawLen     int
+// cacheByteCap bounds each member's cache. It is a constant, not an
+// option: in steady state the window is a few groups deep, and the cap
+// only decides how far a lagging follower may fall behind before its
+// catch-up reads come from the log store instead of memory.
+const cacheByteCap = 4 << 20
+
+// cacheEntryOverhead approximates the bytes one cached entry costs beyond
+// its payload: the LogEntry header in the window buffer plus the payload
+// allocation's own overhead.
+const cacheEntryOverhead = 128
+
+func entryCost(e *wire.LogEntry) int64 { return cacheEntryOverhead + int64(len(e.Payload)) }
+
+func newEntryCache(capBytes int64) *entryCache {
+	return &entryCache{cap: capBytes}
 }
 
-// compressThreshold is the minimum payload size worth compressing.
-const compressThreshold = 128
-
-func newEntryCache(capacity int, compress bool) *entryCache {
-	return &entryCache{entries: make(map[uint64]*cachedEntry), cap: capacity, compress: compress}
-}
-
-// flateWriters pools flate writers: allocating one per append would cost
-// ~1 MB and dominate the commit path.
-var flateWriters = sync.Pool{
-	New: func() any {
-		w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
-		return w
-	},
-}
-
-// compressPayload flate-compresses data, returning (compressed, true)
-// only when compression saves space.
-func compressPayload(data []byte) ([]byte, bool) {
-	if len(data) < compressThreshold {
-		return data, false
-	}
-	w := flateWriters.Get().(*flate.Writer)
-	defer flateWriters.Put(w)
-	var buf bytes.Buffer
-	w.Reset(&buf)
-	if _, err := w.Write(data); err != nil {
-		return data, false
-	}
-	if err := w.Close(); err != nil {
-		return data, false
-	}
-	if buf.Len() >= len(data) {
-		return data, false
-	}
-	return buf.Bytes(), true
-}
-
-// decompressPayload inflates a compressed cache slot.
-func decompressPayload(data []byte, rawLen int) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(data))
-	defer r.Close()
-	out := make([]byte, 0, rawLen)
-	buf := bytes.NewBuffer(out)
-	if _, err := io.Copy(buf, r); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// add inserts an entry at the tail of the cache. Non-contiguous inserts
-// reset the cache to the new entry (the window must stay contiguous for
-// range reads).
-func (c *entryCache) add(e *wire.LogEntry) {
-	idx := e.OpID.Index
-	if c.last != 0 && idx != c.last+1 {
-		c.reset()
-	}
-	meta := *e
-	meta.Payload = nil
-	var payload []byte
-	compressed := false
-	if c.compress {
-		payload, compressed = compressPayload(e.Payload)
-	} else {
-		payload = e.Payload
-	}
-	if !compressed && e.Payload != nil {
-		payload = append([]byte(nil), e.Payload...)
-	}
-	c.entries[idx] = &cachedEntry{
-		meta:       meta,
-		payload:    payload,
-		compressed: compressed,
-		rawLen:     len(e.Payload),
-	}
+// last returns the index of the newest cached entry, 0 when empty.
+func (c *entryCache) last() uint64 {
 	if c.first == 0 {
-		c.first = idx
+		return 0
 	}
-	c.last = idx
-	for len(c.entries) > c.cap {
-		delete(c.entries, c.first)
-		c.first++
-	}
+	return c.first + uint64(c.ents.Len()) - 1
 }
 
-// get returns the cached entry at index, if present, decompressing the
-// payload when needed. A decompression failure (impossible unless memory
-// was corrupted) reports a miss, falling back to the log store.
-func (c *entryCache) get(index uint64) (*wire.LogEntry, bool) {
-	ce, ok := c.entries[index]
-	if !ok {
+// at returns the cached entry at index without copying it.
+func (c *entryCache) at(index uint64) (*wire.LogEntry, bool) {
+	if c.first == 0 || index < c.first || index > c.last() {
 		return nil, false
 	}
-	e := ce.meta
-	if ce.compressed {
-		raw, err := decompressPayload(ce.payload, ce.rawLen)
-		if err != nil {
-			return nil, false
-		}
-		e.Payload = raw
-	} else if ce.rawLen > 0 {
-		e.Payload = ce.payload
-	}
-	return &e, true
+	return c.ents.At(int(index - c.first)), true
 }
 
-// meta returns a payload-free copy of the cached entry's header at
-// index, if present. Unlike get it never touches the stored payload, so
-// proxied sends skip both the copy and any decompression.
-func (c *entryCache) meta(index uint64) (wire.LogEntry, bool) {
-	if ce, ok := c.entries[index]; ok {
-		return ce.meta, true
+// add inserts an entry at the tail, keeping a private copy of its
+// payload. A non-contiguous insert resets the cache to the new entry
+// (the window must stay contiguous for indexed reads). Past the byte cap
+// the oldest entries are evicted; the newest always stays.
+func (c *entryCache) add(e *wire.LogEntry) {
+	if c.first != 0 && e.OpID.Index != c.last()+1 {
+		c.reset()
+	}
+	ce := *e
+	ce.Payload = nil
+	if len(e.Payload) > 0 {
+		ce.Payload = append([]byte(nil), e.Payload...)
+	}
+	c.ents.PushBack(ce)
+	if c.first == 0 {
+		c.first = ce.OpID.Index
+	}
+	c.bytes += entryCost(&ce)
+	for c.bytes > c.cap && c.ents.Len() > 1 {
+		c.popFront()
+	}
+}
+
+// get returns the cached entry at index, if present. The payload aliases
+// the cache; callers must not modify it.
+func (c *entryCache) get(index uint64) (wire.LogEntry, bool) {
+	if e, ok := c.at(index); ok {
+		return *e, true
 	}
 	return wire.LogEntry{}, false
 }
 
 // termAt returns the term of the cached entry at index, if present.
 func (c *entryCache) termAt(index uint64) (uint64, bool) {
-	if ce, ok := c.entries[index]; ok {
-		return ce.meta.OpID.Term, true
+	if e, ok := c.at(index); ok {
+		return e.OpID.Term, true
 	}
 	return 0, false
 }
 
 // truncateAfter drops cached entries with index > index.
 func (c *entryCache) truncateAfter(index uint64) {
-	if c.last == 0 || index >= c.last {
+	if c.first == 0 || index >= c.last() {
 		return
-	}
-	for i := index + 1; i <= c.last; i++ {
-		delete(c.entries, i)
 	}
 	if index < c.first {
 		c.reset()
 		return
 	}
-	c.last = index
+	keep := int(index - c.first + 1)
+	for i := keep; i < c.ents.Len(); i++ {
+		c.bytes -= entryCost(c.ents.At(i))
+	}
+	c.ents.TruncateBack(keep)
 }
 
-// dropBelow evicts every cached entry with index < floor. The purge
-// coordinator calls it (via Node.NotePurged) so the cache never answers
-// for entries the log no longer retains — a lagging peer below the floor
-// must take the snapshot path, not be silently served from memory.
-func (c *entryCache) dropBelow(floor uint64) {
-	if c.first == 0 || floor <= c.first {
-		return
+// trimBelow evicts every cached entry with index < floor. The window
+// floor (Node.trimCache) and the purge floor (Node.NotePurged) both land
+// here: the cache never answers for entries the log no longer retains, so
+// a lagging peer below the purge floor takes the snapshot path.
+func (c *entryCache) trimBelow(floor uint64) {
+	for c.first != 0 && c.first < floor {
+		c.popFront()
 	}
-	if floor > c.last {
-		c.reset()
-		return
+}
+
+func (c *entryCache) popFront() {
+	e := c.ents.PopFront()
+	c.bytes -= entryCost(&e)
+	c.first++
+	if c.ents.Len() == 0 {
+		c.first = 0
 	}
-	for i := c.first; i < floor; i++ {
-		delete(c.entries, i)
-	}
-	c.first = floor
 }
 
 func (c *entryCache) reset() {
-	c.entries = make(map[uint64]*cachedEntry)
-	c.first, c.last = 0, 0
+	c.ents.Clear()
+	c.first, c.bytes = 0, 0
 }
 
-// lastOpID returns the OpID of the cache tail, or zero when empty.
-func (c *entryCache) lastOpID() opid.OpID {
-	if c.last == 0 {
-		return opid.Zero
-	}
-	return c.entries[c.last].meta.OpID
+// CacheStatus reports a member's entry cache: how much of the log it
+// holds in memory, and how often the node had to read the log store
+// instead (a lagging peer past the window, a term lookup below it).
+type CacheStatus struct {
+	Entries    int
+	Bytes      int64
+	StoreReads uint64
 }

@@ -13,8 +13,11 @@ func cacheEntry(term, index uint64) *wire.LogEntry {
 	return &wire.LogEntry{OpID: opid.OpID{Term: term, Index: index}}
 }
 
+// entriesCap sizes a cache to hold exactly n payload-free entries.
+func entriesCap(n int) int64 { return int64(n) * cacheEntryOverhead }
+
 func TestCacheAddAndGet(t *testing.T) {
-	c := newEntryCache(10, true)
+	c := newEntryCache(entriesCap(10))
 	for i := uint64(1); i <= 5; i++ {
 		c.add(cacheEntry(1, i))
 	}
@@ -27,13 +30,13 @@ func TestCacheAddAndGet(t *testing.T) {
 	if _, ok := c.get(6); ok {
 		t.Fatal("phantom entry")
 	}
-	if c.lastOpID() != (opid.OpID{Term: 1, Index: 5}) {
-		t.Fatalf("lastOpID = %v", c.lastOpID())
+	if c.last() != 5 {
+		t.Fatalf("last = %d", c.last())
 	}
 }
 
 func TestCacheEvictsOldest(t *testing.T) {
-	c := newEntryCache(3, true)
+	c := newEntryCache(entriesCap(3))
 	for i := uint64(1); i <= 5; i++ {
 		c.add(cacheEntry(1, i))
 	}
@@ -48,10 +51,13 @@ func TestCacheEvictsOldest(t *testing.T) {
 			t.Fatalf("entry %d evicted prematurely", i)
 		}
 	}
+	if c.bytes != entriesCap(3) {
+		t.Fatalf("bytes = %d, want %d", c.bytes, entriesCap(3))
+	}
 }
 
 func TestCacheNonContiguousResets(t *testing.T) {
-	c := newEntryCache(10, true)
+	c := newEntryCache(entriesCap(10))
 	c.add(cacheEntry(1, 1))
 	c.add(cacheEntry(1, 2))
 	c.add(cacheEntry(2, 10)) // gap: reset
@@ -64,7 +70,7 @@ func TestCacheNonContiguousResets(t *testing.T) {
 }
 
 func TestCacheTruncateAfter(t *testing.T) {
-	c := newEntryCache(10, true)
+	c := newEntryCache(entriesCap(10))
 	for i := uint64(1); i <= 8; i++ {
 		c.add(cacheEntry(1, i))
 	}
@@ -75,13 +81,13 @@ func TestCacheTruncateAfter(t *testing.T) {
 	if e, ok := c.get(5); !ok || e.OpID.Index != 5 {
 		t.Fatal("kept entry missing")
 	}
-	if c.lastOpID().Index != 5 {
-		t.Fatalf("lastOpID = %v", c.lastOpID())
+	if c.last() != 5 || c.bytes != entriesCap(5) {
+		t.Fatalf("last = %d, bytes = %d", c.last(), c.bytes)
 	}
 	// Truncating below the window empties it.
 	c.truncateAfter(0)
-	if c.lastOpID() != opid.Zero {
-		t.Fatalf("lastOpID after full truncate = %v", c.lastOpID())
+	if c.last() != 0 || c.bytes != 0 {
+		t.Fatalf("after full truncate: last = %d, bytes = %d", c.last(), c.bytes)
 	}
 	// Appends restart cleanly.
 	c.add(cacheEntry(3, 1))
@@ -91,7 +97,7 @@ func TestCacheTruncateAfter(t *testing.T) {
 }
 
 func TestCacheTermAt(t *testing.T) {
-	c := newEntryCache(10, true)
+	c := newEntryCache(entriesCap(10))
 	c.add(cacheEntry(7, 1))
 	if term, ok := c.termAt(1); !ok || term != 7 {
 		t.Fatalf("termAt = %d %v", term, ok)
@@ -101,13 +107,14 @@ func TestCacheTermAt(t *testing.T) {
 	}
 }
 
-// Property: the cache window is always contiguous and within capacity.
+// Property: the cache window is always contiguous, within its byte cap,
+// and its byte count matches its contents.
 func TestCacheWindowInvariant(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c := newEntryCache(8, true)
+		c := newEntryCache(entriesCap(8))
 		next := uint64(1)
 		for _, op := range ops {
-			switch op % 3 {
+			switch op % 4 {
 			case 0, 1:
 				c.add(cacheEntry(1, next))
 				next++
@@ -115,22 +122,17 @@ func TestCacheWindowInvariant(t *testing.T) {
 				cut := uint64(op) % (next + 1)
 				c.truncateAfter(cut)
 				if cut < next {
-					if cut == 0 || cut < c.first {
-						// window reset; next append may restart anywhere
-						next = cut + 1
-					} else {
-						next = cut + 1
-					}
+					next = cut + 1
 				}
+			case 3:
+				c.trimBelow(uint64(op) % (next + 1))
 			}
-			if len(c.entries) > 8 {
+			if c.bytes > c.cap || c.bytes != entriesCap(c.ents.Len()) {
 				return false
 			}
-			if c.last != 0 {
-				for i := c.first; i <= c.last; i++ {
-					if _, ok := c.entries[i]; !ok {
-						return false
-					}
+			for i := 0; i < c.ents.Len(); i++ {
+				if c.ents.At(i).OpID.Index != c.first+uint64(i) {
+					return false
 				}
 			}
 		}
@@ -141,89 +143,106 @@ func TestCacheWindowInvariant(t *testing.T) {
 	}
 }
 
-func TestCacheCompressesLargePayloads(t *testing.T) {
-	c := newEntryCache(10, true)
-	// Highly compressible 4KB payload.
-	payload := bytes.Repeat([]byte("abcdefgh"), 512)
-	e := &wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: payload}
-	c.add(e)
-	ce := c.entries[1]
-	if !ce.compressed {
-		t.Fatal("compressible payload stored uncompressed")
-	}
-	if len(ce.payload) >= len(payload) {
-		t.Fatalf("no space saved: %d vs %d", len(ce.payload), len(payload))
-	}
-	got, ok := c.get(1)
-	if !ok || !bytes.Equal(got.Payload, payload) {
-		t.Fatal("round trip through compression failed")
-	}
-	// The caller's view must not alias the cache.
-	got.Payload[0] = 'X'
-	again, _ := c.get(1)
-	if again.Payload[0] == 'X' {
-		t.Fatal("decompressed payload aliased between reads")
-	}
-}
-
-func TestCacheSkipsIncompressiblePayloads(t *testing.T) {
-	c := newEntryCache(10, true)
-	// Random bytes do not compress.
-	payload := make([]byte, 1024)
-	rnd := uint32(12345)
-	for i := range payload {
-		rnd = rnd*1664525 + 1013904223
-		payload[i] = byte(rnd >> 24)
-	}
-	c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: payload})
-	if c.entries[1].compressed {
-		t.Fatal("incompressible payload stored compressed")
-	}
-	got, ok := c.get(1)
-	if !ok || !bytes.Equal(got.Payload, payload) {
-		t.Fatal("round trip failed")
-	}
-}
-
-func TestCacheSmallPayloadsUncompressed(t *testing.T) {
-	c := newEntryCache(10, true)
-	c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: []byte("tiny")})
-	if c.entries[1].compressed {
-		t.Fatal("tiny payload compressed")
-	}
-	got, _ := c.get(1)
-	if string(got.Payload) != "tiny" {
-		t.Fatal("round trip failed")
-	}
-}
-
-func TestCacheCompressionRoundTripProperty(t *testing.T) {
+// Property: payloads come back byte for byte, and the cache keeps its own
+// copy (the proposer may reuse its buffer).
+func TestCachePayloadRoundTripProperty(t *testing.T) {
 	f := func(payload []byte) bool {
-		c := newEntryCache(4, true)
-		c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: payload})
+		c := newEntryCache(cacheByteCap)
+		in := append([]byte(nil), payload...)
+		c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: in})
+		for i := range in {
+			in[i] ^= 0xff
+		}
 		got, ok := c.get(1)
-		if !ok {
-			return false
-		}
-		if len(payload) == 0 {
-			return len(got.Payload) == 0
-		}
-		return bytes.Equal(got.Payload, payload)
+		return ok && bytes.Equal(got.Payload, payload) &&
+			c.bytes == cacheEntryOverhead+int64(len(payload))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestCacheUncompressedMode(t *testing.T) {
-	c := newEntryCache(10, false)
-	payload := bytes.Repeat([]byte("abcdefgh"), 512)
-	c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: payload})
-	if c.entries[1].compressed {
-		t.Fatal("compression ran with compress=false")
+// windowNode is a bare leader or follower holding only what trimCache
+// reads: its role, commit index, peers and cache.
+func windowNode(role Role, commit uint64, match map[wire.NodeID]uint64, capBytes int64) *Node {
+	n := &Node{role: role, commitIndex: commit, cache: newEntryCache(capBytes), peers: map[wire.NodeID]*peerState{}}
+	for id, m := range match {
+		n.peers[id] = &peerState{match: m, next: m + 1}
 	}
-	got, ok := c.get(1)
-	if !ok || !bytes.Equal(got.Payload, payload) {
-		t.Fatal("round trip failed")
+	return n
+}
+
+func TestCacheLeaderFloorAtLowestPeerMatch(t *testing.T) {
+	n := windowNode(RoleLeader, 90, map[wire.NodeID]uint64{"a": 95, "b": 70}, cacheByteCap)
+	for i := uint64(1); i <= 100; i++ {
+		n.cache.add(cacheEntry(1, i))
+	}
+	n.trimCache()
+	// b (match 70) still needs 71.. and its next consistency check reads
+	// the term at 70; nothing below is kept.
+	if n.cache.first != 70 || n.cache.last() != 100 {
+		t.Fatalf("window [%d,%d], want [70,100]", n.cache.first, n.cache.last())
+	}
+	// b catches up past the commit index: commit now caps the floor.
+	n.peers["b"].match = 99
+	n.trimCache()
+	if n.cache.first != 90 {
+		t.Fatalf("floor %d, want commit 90", n.cache.first)
+	}
+	n.commitIndex = 99
+	n.peers["a"].match = 100
+	n.trimCache()
+	if n.cache.first != 99 || n.cache.ents.Len() != 2 {
+		t.Fatalf("caught-up window [%d,%d], want [99,100]", n.cache.first, n.cache.last())
+	}
+}
+
+func TestCacheFollowerFloorAtCommit(t *testing.T) {
+	n := windowNode(RoleFollower, 0, nil, cacheByteCap)
+	for i := uint64(1); i <= 50; i++ {
+		n.cache.add(cacheEntry(1, i))
+	}
+	n.trimCache()
+	if n.cache.first != 1 {
+		t.Fatalf("uncommitted follower trimmed to %d", n.cache.first)
+	}
+	n.commitIndex = 42
+	n.trimCache()
+	if n.cache.first != 42 || n.cache.last() != 50 {
+		t.Fatalf("window [%d,%d], want [42,50]", n.cache.first, n.cache.last())
+	}
+	// A stale peer map (left from an earlier leadership) does not hold a
+	// follower's floor down.
+	n.peers["x"] = &peerState{}
+	n.commitIndex = 48
+	n.trimCache()
+	if n.cache.first != 48 {
+		t.Fatalf("floor %d, want 48", n.cache.first)
+	}
+}
+
+// A peer that is down pins the leader's floor at its stale match, so only
+// the byte cap bounds the window: the oldest entries go, the newest stay.
+func TestCacheByteCapEvictsWithPeerDown(t *testing.T) {
+	const payload = 1000
+	capBytes := int64(20 * (cacheEntryOverhead + payload))
+	n := windowNode(RoleLeader, 0, map[wire.NodeID]uint64{"up": 0, "down": 0}, capBytes)
+	for i := uint64(1); i <= 100; i++ {
+		n.cache.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: i}, Payload: make([]byte, payload)})
+		n.peers["up"].match = i
+		n.commitIndex = i
+		n.trimCache()
+		if n.cache.bytes > capBytes {
+			t.Fatalf("after %d: %d bytes over cap %d", i, n.cache.bytes, capBytes)
+		}
+	}
+	if n.cache.first != 81 || n.cache.last() != 100 {
+		t.Fatalf("window [%d,%d], want the newest 20 [81,100]", n.cache.first, n.cache.last())
+	}
+	// The peer comes back and catches up: the window collapses to the tail.
+	n.peers["down"].match = 100
+	n.trimCache()
+	if n.cache.ents.Len() != 1 || n.cache.bytes != cacheEntryOverhead+payload {
+		t.Fatalf("caught-up window holds %d entries, %d bytes", n.cache.ents.Len(), n.cache.bytes)
 	}
 }

@@ -117,6 +117,7 @@ func (n *Node) setCommitIndex(index uint64) {
 		return
 	}
 	n.commitIndex = index
+	n.trimCache()
 	// Replicate stage: proposal → quorum-covered commit marker, observed
 	// for every sampled proposal the new marker covers.
 	if len(n.spans) > 0 {

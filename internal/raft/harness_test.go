@@ -12,10 +12,13 @@ import (
 )
 
 // memLog is an in-memory LogStore for consensus-layer tests (the real
-// deployment uses the plugin's binlog-backed store).
+// deployment uses the plugin's binlog-backed store). Like the binlog it
+// offers a sequential scan, and it counts point and ranged reads.
 type memLog struct {
 	mu      sync.Mutex
 	entries []*wire.LogEntry // entries[i] has index i+1
+	reads   int              // Entry calls
+	scans   int              // ScanFrom calls
 }
 
 func (l *memLog) Append(e *wire.LogEntry) error {
@@ -36,6 +39,7 @@ func (l *memLog) Append(e *wire.LogEntry) error {
 func (l *memLog) Entry(index uint64) (*wire.LogEntry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.reads++
 	if index == 0 || index > uint64(len(l.entries)) {
 		return nil, fmt.Errorf("memlog: no entry %d", index)
 	}
@@ -72,6 +76,26 @@ func (l *memLog) TruncateAfter(index uint64) ([]*wire.LogEntry, error) {
 }
 
 func (l *memLog) Sync() error { return nil }
+
+func (l *memLog) ScanFrom(from uint64, fn func(*wire.LogEntry) bool) error {
+	l.mu.Lock()
+	l.scans++
+	entries := l.entries
+	l.mu.Unlock()
+	for _, e := range entries[min(max(from, 1), uint64(len(entries))+1)-1:] {
+		if !fn(e) {
+			break
+		}
+	}
+	return nil
+}
+
+// counts returns the log's point and ranged read counts.
+func (l *memLog) counts() (reads, scans int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.reads, l.scans
+}
 
 func (l *memLog) len() int {
 	l.mu.Lock()
@@ -190,6 +214,31 @@ func (c *cluster) startNode(id wire.NodeID, region wire.Region) *Node {
 	return n
 }
 
+// stopNode stops id's node and takes it off the network; its log stays
+// in c.logs for restartNode.
+func (c *cluster) stopNode(id wire.NodeID) {
+	c.t.Helper()
+	c.nodes[id].Stop()
+	c.net.SetNodeDown(id, true)
+}
+
+// restartNode boots a fresh node for id over its surviving log, the way a
+// restarted process recovers from disk.
+func (c *cluster) restartNode(id wire.NodeID) *Node {
+	c.t.Helper()
+	m, _ := c.cfg.Find(id)
+	ep := c.net.Register(id, m.Region)
+	n, err := NewNode(c.nodeCfg(id, m.Region), c.logs[id], c.cbs[id], ep, nil)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if err := n.Start(c.cfg); err != nil {
+		c.t.Fatal(err)
+	}
+	c.nodes[id] = n
+	return n
+}
+
 func (c *cluster) close() {
 	for _, n := range c.nodes {
 		n.Stop()
@@ -197,13 +246,25 @@ func (c *cluster) close() {
 	c.net.Close()
 }
 
-// elect forces an election on id and waits for it to become leader.
+// elect forces an election on id and waits for it to become leader. A
+// forced campaign can still lose (a peer whose election timer fired at
+// the same moment splits the vote, or wins it), so the campaign is
+// repeated until id leads.
 func (c *cluster) elect(id wire.NodeID) *Node {
 	c.t.Helper()
 	n := c.nodes[id]
-	n.CampaignNow()
-	c.waitLeader(id)
-	return n
+	deadline := time.Now().Add(20 * time.Second)
+	for time.Now().Before(deadline) {
+		n.CampaignNow()
+		for retry := time.Now().Add(20 * testHeartbeat); time.Now().Before(retry); {
+			if n.Status().Role == RoleLeader {
+				return n
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	c.t.Fatalf("%s never became leader", id)
+	return nil
 }
 
 // waitLeader waits until id reports itself leader.

@@ -208,21 +208,13 @@ func (n *Node) ReadIndex(ctx context.Context) (uint64, error) {
 // valid leader lease right now, avoiding ReadIndex's quorum round. It
 // fails with ErrLeaseExpired when the lease is unsafe (not yet earned
 // this term, expired under partition, or inhibited by clock-skew
-// configuration); callers fall back to ReadIndex.
+// configuration) and with ErrPromotionUnsettled before this leadership's
+// No-Op commits; callers fall back to ReadIndex.
 func (n *Node) LeaseRead() (uint64, error) {
 	var idx uint64
 	var rerr error
 	err := n.post(func() {
-		switch {
-		case n.role != RoleLeader:
-			rerr = ErrNotLeader
-		case n.commitIndex < n.noOpIndex:
-			// Promotion not settled: same current-term-commit rule as
-			// ReadIndex.
-			rerr = ErrLeaseExpired
-		case !n.lease.valid(n.clk.Now()):
-			rerr = ErrLeaseExpired
-		default:
+		if rerr = n.leaseReadErr(n.clk.Now()); rerr == nil {
 			idx = n.commitIndex
 		}
 	})
@@ -230,4 +222,19 @@ func (n *Node) LeaseRead() (uint64, error) {
 		return 0, err
 	}
 	return idx, rerr
+}
+
+// leaseReadErr is the one predicate behind both LeaseRead and
+// Status().LeaseHeld: nil when a lease read may be served at now.
+func (n *Node) leaseReadErr(now time.Time) error {
+	switch {
+	case n.role != RoleLeader:
+		return ErrNotLeader
+	case n.commitIndex < n.noOpIndex:
+		// Same current-term-commit rule as ReadIndex.
+		return ErrPromotionUnsettled
+	case !n.lease.valid(now):
+		return ErrLeaseExpired
+	}
+	return nil
 }

@@ -53,6 +53,10 @@ type Node struct {
 	store *stateStore
 	rng   *rand.Rand
 
+	// storeReads counts log-store reads (point or ranged) the node made
+	// because the cache did not hold an entry (CacheStatus.StoreReads).
+	storeReads uint64
+
 	// Everything below is owned by the run loop.
 	role     Role
 	term     uint64
@@ -172,7 +176,7 @@ func NewNode(cfg Config, log LogStore, cb Callbacks, tr Transport, clk clock.Clo
 		tr:       tr,
 		log:      log,
 		cb:       cb,
-		cache:    newEntryCache(cfg.CacheCapacity, cfg.CompressCache),
+		cache:    newEntryCache(cacheByteCap),
 		store:    store,
 		rng:      rand.New(rand.NewSource(int64(len(cfg.ID)) + int64(hashID(cfg.ID)))),
 		role:     RoleFollower,
@@ -227,8 +231,7 @@ func (n *Node) Start(bootstrap wire.Config) error {
 	}
 
 	// Recover membership from config entries already in the log and warm
-	// the entry cache. Stores that support sequential scans (the binlog)
-	// are scanned file-by-file; others are read entry-by-entry.
+	// the entry cache (the byte cap keeps only the tail).
 	var scanErr error
 	visit := func(e *wire.LogEntry) bool {
 		if e.Kind == wire.EntryType(entryConfigKind) {
@@ -243,21 +246,9 @@ func (n *Node) Start(bootstrap wire.Config) error {
 		n.cache.add(e)
 		return true
 	}
-	if scanner, ok := n.log.(interface {
-		ScanFrom(from uint64, fn func(*wire.LogEntry) bool) error
-	}); ok && n.firstIndex != 0 {
-		if err := scanner.ScanFrom(n.firstIndex, visit); err != nil {
+	if n.firstIndex != 0 {
+		if _, err := n.scanStore(n.firstIndex, n.lastOpID.Index, visit); err != nil {
 			return fmt.Errorf("raft: start scan: %w", err)
-		}
-	} else {
-		for idx := n.firstIndex; idx != 0 && idx <= n.lastOpID.Index; idx++ {
-			e, err := n.log.Entry(idx)
-			if err != nil {
-				return fmt.Errorf("raft: start scan: %w", err)
-			}
-			if !visit(e) {
-				break
-			}
 		}
 	}
 	if scanErr != nil {
@@ -458,36 +449,27 @@ func (n *Node) termAt(index uint64) (uint64, bool) {
 }
 
 // entryAt reads the entry at index from cache or the log store.
-func (n *Node) entryAt(index uint64) (*wire.LogEntry, bool) {
+func (n *Node) entryAt(index uint64) (wire.LogEntry, bool) {
 	if e, ok := n.cache.get(index); ok {
 		return e, true
-	}
-	return n.storeEntry(index)
-}
-
-// metaAt returns the header-only form of the entry at index (Payload
-// nil). The proxy send path uses it: PROXY_OPs carry no payload on the
-// wire, so fetching metadata skips cache decompression and payload
-// copies entirely.
-func (n *Node) metaAt(index uint64) (wire.LogEntry, bool) {
-	if meta, ok := n.cache.meta(index); ok {
-		return meta, true
 	}
 	e, ok := n.storeEntry(index)
 	if !ok {
 		return wire.LogEntry{}, false
 	}
-	meta := *e
-	meta.Payload = nil
-	return meta, true
+	return *e, true
 }
 
 // storeEntry reads index from the log store, retrying once after a writer
 // drain when the entry is within the in-memory tail: it may still be
 // sitting in the writer's queue and not yet visible to the store.
 func (n *Node) storeEntry(index uint64) (*wire.LogEntry, bool) {
+	if index > n.lastOpID.Index {
+		return nil, false // not in the log yet (a proxy probing ahead)
+	}
+	n.storeReads++
 	e, err := n.log.Entry(index)
-	if err != nil && index <= n.lastOpID.Index {
+	if err != nil {
 		if n.writer.drainAppends() != nil {
 			return nil, false
 		}
@@ -497,6 +479,69 @@ func (n *Node) storeEntry(index uint64) (*wire.LogEntry, bool) {
 		return nil, false
 	}
 	return e, true
+}
+
+// storeRange appends the run [from, to] to dst, read from the log store
+// in one ranged read. Like storeEntry it drains the log writer and
+// retries once when nothing was readable yet.
+func (n *Node) storeRange(from, to uint64, dst []wire.LogEntry) []wire.LogEntry {
+	n.storeReads++
+	visit := func(e *wire.LogEntry) bool { dst = append(dst, *e); return true }
+	got, _ := n.scanStore(from, to, visit)
+	if got == 0 && from <= n.lastOpID.Index {
+		if n.writer.drainAppends() != nil {
+			return dst
+		}
+		n.scanStore(from, to, visit)
+	}
+	return dst
+}
+
+// scanStore hands the entries [from, to] to fn in order until fn returns
+// false, and returns how many it handed over. Stores with a sequential
+// scan (the binlog reads a run of entries with one read per file) are
+// scanned; others are read entry by entry.
+func (n *Node) scanStore(from, to uint64, fn func(*wire.LogEntry) bool) (uint64, error) {
+	var got uint64
+	if sc, ok := n.log.(interface {
+		ScanFrom(from uint64, fn func(*wire.LogEntry) bool) error
+	}); ok {
+		err := sc.ScanFrom(from, func(e *wire.LogEntry) bool {
+			if e.OpID.Index != from+got {
+				return false // the store no longer holds from onwards
+			}
+			got++
+			return fn(e) && e.OpID.Index < to
+		})
+		return got, err
+	}
+	for idx := from; idx <= to; idx++ {
+		e, err := n.log.Entry(idx)
+		if err != nil {
+			return got, err
+		}
+		got++
+		if !fn(e) {
+			break
+		}
+	}
+	return got, nil
+}
+
+// trimCache drops cached entries no peer can still need from this member.
+// On a leader the floor is the lowest peer match; the entry at the floor
+// stays, because its term answers the consistency check of that peer's
+// next AppendEntries. On every member the floor is at most the commit
+// index: a leader's next commit advance reads terms above it, and a
+// follower's next consistency check sits at or above it.
+func (n *Node) trimCache() {
+	floor := n.commitIndex
+	if n.role == RoleLeader {
+		for _, ps := range n.peers {
+			floor = min(floor, ps.match)
+		}
+	}
+	n.cache.trimBelow(floor)
 }
 
 // noteRole reports the current role/term to the OnRoleChange hook. Called
@@ -618,6 +663,11 @@ func (n *Node) Status() Status {
 			DurableIndex:   n.selfMatch,
 			Config:         n.members.Clone(),
 			Transferring:   n.transfer != nil,
+			Cache: CacheStatus{
+				Entries:    n.cache.ents.Len(),
+				Bytes:      n.cache.bytes,
+				StoreReads: n.storeReads,
+			},
 		}
 		if n.role == RoleLeader {
 			st.Match = make(map[wire.NodeID]uint64, len(n.peers)+1)
@@ -626,7 +676,7 @@ func (n *Node) Status() Status {
 				st.Match[id] = ps.match
 			}
 			st.RegionWatermarks = quorum.RegionWatermarks(n.members, st.Match)
-			st.LeaseHeld = n.lease.valid(n.clk.Now())
+			st.LeaseHeld = n.leaseReadErr(n.clk.Now()) == nil
 			st.LeaseExpiry = n.lease.expiry()
 		}
 	})

@@ -607,9 +607,13 @@ func TestLeadershipLostAbortsCommitWaiters(t *testing.T) {
 	waitErr := make(chan error, 1)
 	go func() { waitErr <- n.WaitCommitted(context.Background(), op.Index) }()
 	// Elect a new leader on the other side, then heal; the old leader
-	// demotes and must abort the waiter.
+	// demotes and must abort the waiter. n2's election timer runs too, so
+	// either of n1 and n2 may win.
 	c.nodes["n1"].CampaignNow()
-	c.waitLeader("n1")
+	c.waitCondition("replacement leader", func() bool {
+		return c.nodes["n1"].Status().Role == RoleLeader ||
+			c.nodes["n2"].Status().Role == RoleLeader
+	})
 	c.net.HealAll()
 	select {
 	case err := <-waitErr:

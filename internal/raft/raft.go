@@ -73,6 +73,11 @@ var (
 	// ErrLeaseExpired rejects a LeaseRead when the leader lease is not
 	// currently valid; callers fall back to ReadIndex.
 	ErrLeaseExpired = errors.New("raft: leader lease expired")
+	// ErrPromotionUnsettled rejects a LeaseRead on a leader whose
+	// leadership No-Op is not yet committed: the commit marker may still
+	// trail the previous leader's, so no read may be served from it yet.
+	// Callers fall back to ReadIndex, which waits for the No-Op.
+	ErrPromotionUnsettled = errors.New("raft: promotion not settled")
 )
 
 // Transport sends messages to peers and surfaces received envelopes.
@@ -247,15 +252,6 @@ type Config struct {
 
 	// BatchSize caps entries per AppendEntries message. Default 64.
 	BatchSize int
-	// CacheCapacity bounds the in-memory log entry cache. Default 16384.
-	CacheCapacity int
-	// CompressCache stores cached payloads flate-compressed (§3.4: "Raft
-	// compresses the transaction and stores it in its in-memory cache").
-	// Off by default here: on this reproduction's substrate the
-	// compression CPU sits on the node's event loop and measurably taxes
-	// the commit path, whereas production MyRaft absorbs it.
-	CompressCache bool
-
 	// SyncEveryAppend makes the log writer fsync after every single
 	// append instead of once per drained batch. This is the naive
 	// durability fix — correct, but serialized behind the storage device —
@@ -361,9 +357,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize == 0 {
 		c.BatchSize = 64
 	}
-	if c.CacheCapacity == 0 {
-		c.CacheCapacity = 16384
-	}
 	if c.MaxUnsyncedBytes == 0 {
 		c.MaxUnsyncedBytes = 8 << 20
 	}
@@ -426,9 +419,14 @@ type Status struct {
 	RegionWatermarks map[wire.Region]uint64
 	// Transferring reports an in-flight graceful transfer.
 	Transferring bool
-	// LeaseHeld reports a currently valid leader lease (leader only).
+	// LeaseHeld reports that LeaseRead would serve right now (leader
+	// only): the lease is valid and this leadership's No-Op is committed.
+	// It is the same predicate LeaseRead decides on (Node.leaseReadErr).
 	LeaseHeld bool
 	// LeaseExpiry is when the lease lapses (leader only; zero when the
 	// lease has never been granted this term).
 	LeaseExpiry time.Time
+	// Cache reports the in-memory entry window and the log-store reads
+	// made past it.
+	Cache CacheStatus
 }

@@ -221,13 +221,18 @@ func TestLeaseNotInheritedAcrossTerms(t *testing.T) {
 	c.waitCondition("n0 lease", func() bool { return c.nodes["n0"].Status().LeaseHeld })
 
 	// Transfer to n1. At the instant n1 wins it has had no quorum round of
-	// its own term; LeaseRead must fall back (expired) until it earns one.
+	// its own term and its No-Op is uncommitted; LeaseRead must fall back
+	// (ErrPromotionUnsettled, then ErrLeaseExpired) until it earns both.
 	// The window is narrow under test heartbeats, so assert the reachable
-	// stable states: either not-yet-held (ErrLeaseExpired) or already
-	// earned legitimately — but never a lease expiring LATER than one
-	// full LeaseDuration from now, which would indicate inheritance plus
-	// extension from the old term.
+	// stable states: either not-yet-held or already earned legitimately —
+	// but never a lease expiring LATER than one full LeaseDuration from
+	// now, which would indicate inheritance plus extension from the old
+	// term.
 	n1 := c.elect("n1")
+	if _, err := n1.LeaseRead(); err != nil &&
+		!errors.Is(err, ErrPromotionUnsettled) && !errors.Is(err, ErrLeaseExpired) {
+		t.Fatalf("new leader LeaseRead err = %v", err)
+	}
 	st := n1.Status()
 	if st.LeaseHeld {
 		maxExpiry := time.Now().Add(time.Duration(3) * testHeartbeat)
@@ -235,6 +240,8 @@ func TestLeaseNotInheritedAcrossTerms(t *testing.T) {
 			t.Fatalf("new leader lease expiry %v implausibly far out", st.LeaseExpiry)
 		}
 	}
+	// LeaseHeld is LeaseRead's own predicate, so once it reports true a
+	// lease read serves.
 	c.waitCondition("n1 earns own lease", func() bool { return n1.Status().LeaseHeld })
 	if _, err := n1.LeaseRead(); err != nil {
 		t.Fatalf("LeaseRead after own quorum round: %v", err)

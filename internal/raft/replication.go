@@ -75,24 +75,33 @@ func (n *Node) sendAppend(peer wire.NodeID) {
 	// Build the batch into the peer's scratch buffer (the transport
 	// marshals synchronously and never shares memory with the receiver,
 	// so the buffer is free again once Send returns). On proxied routes
-	// the wire format strips payloads anyway, so fetch header metadata
-	// only — no cache decompression, no payload copies.
+	// the peer's region proxy restores payloads, so only headers travel.
 	entries := ps.scratch[:0]
-	for idx := next; idx <= n.lastOpID.Index && len(entries) < n.cfg.BatchSize; idx++ {
-		if proxied {
-			meta, ok := n.metaAt(idx)
-			if !ok {
-				break
-			}
-			meta.IsProxy = true
-			entries = append(entries, meta)
+	for idx := next; idx <= n.lastOpID.Index && len(entries) < n.cfg.BatchSize; {
+		if e, ok := n.cache.at(idx); ok {
+			entries = append(entries, *e)
+			idx++
 			continue
 		}
-		e, ok := n.entryAt(idx)
-		if !ok {
+		// The peer lags behind the cached window: read the rest of the
+		// batch, up to where the window starts, from the log store in one
+		// ranged read rather than one point read per index.
+		to := min(idx+uint64(n.cfg.BatchSize-len(entries))-1, n.lastOpID.Index)
+		if first := n.cache.first; first > idx {
+			to = min(to, first-1)
+		}
+		before := len(entries)
+		entries = n.storeRange(idx, to, entries)
+		if len(entries) == before {
 			break
 		}
-		entries = append(entries, *e)
+		idx += uint64(len(entries) - before)
+	}
+	if proxied {
+		for i := range entries {
+			entries[i].Payload = nil
+			entries[i].IsProxy = true
+		}
 	}
 	ps.scratch = entries
 
@@ -322,9 +331,8 @@ func (n *Node) reconstitute(req *wire.AppendEntriesReq) bool {
 		if !ok || local.OpID != e.OpID {
 			return false
 		}
-		full := *local
-		full.IsProxy = false
-		req.Entries[i] = full
+		local.IsProxy = false
+		req.Entries[i] = local
 	}
 	return true
 }
@@ -381,6 +389,7 @@ func (n *Node) handleAppendResp(resp *wire.AppendEntriesResp) {
 	if resp.Success {
 		if resp.MatchIndex > ps.match {
 			ps.match = resp.MatchIndex
+			n.trimCache()
 		}
 		if ps.match+1 > ps.next {
 			ps.next = ps.match + 1

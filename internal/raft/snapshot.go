@@ -99,7 +99,7 @@ func (n *Node) NotePurged() {
 		n.firstIndex = n.log.FirstIndex()
 		// The cache must not keep answering for purged entries: a peer
 		// below the floor has to take the snapshot path.
-		n.cache.dropBelow(n.firstIndex)
+		n.cache.trimBelow(n.firstIndex)
 		if n.snapCache != nil && n.firstIndex > n.snapCache.Anchor.Index+1 {
 			n.snapCache = nil
 		}

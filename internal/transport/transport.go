@@ -8,7 +8,8 @@
 // Delivery preserves per-link FIFO order, like a TCP connection: each
 // ordered (from, to) pair gets a dedicated queue goroutine that sleeps
 // until a message's delivery time and then hands it to the destination
-// inbox.
+// inbox. A link's queue grows and shrinks with its backlog, so the
+// network's memory follows the messages actually in flight.
 package transport
 
 import (
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"myraft/internal/clock"
+	"myraft/internal/deque"
 	"myraft/internal/wire"
 )
 
@@ -104,6 +106,9 @@ type Stats struct {
 	// Dropped counts messages lost to partitions, down nodes and full
 	// inboxes.
 	Dropped int64
+	// LinkBacklogPeak maps directed (from, to) links to the most messages
+	// queued on them at once, the high-water mark of their memory.
+	LinkBacklogPeak map[[2]wire.NodeID]int
 }
 
 // CrossRegionBytes sums bytes over all pairs with distinct regions.
@@ -213,12 +218,29 @@ type scheduled struct {
 	deliverAt time.Time
 }
 
-// link is the FIFO delivery queue for one directed node pair.
+// link is the FIFO delivery queue for one directed node pair. Everything
+// but wake is guarded by Network.mu.
 type link struct {
-	queue chan scheduled
+	// backlog holds the messages accepted but not yet picked up by
+	// runLink. It grows with a burst and shrinks back as it drains; it is
+	// capped at 4×InboxSize messages, past which sends are dropped.
+	backlog deque.Deque[scheduled]
+	// wake tells runLink that the backlog may be non-empty or that the
+	// network closed. Capacity 1: a sender never blocks on it.
+	wake chan struct{}
+	// peak is the largest backlog since the last ResetStats.
+	peak int
 	// nextFree is when a bandwidth-capped link finishes serializing the
 	// last accepted message; subsequent messages queue behind it.
 	nextFree time.Time
+}
+
+// signal wakes the link's goroutine without blocking.
+func (lk *link) signal() {
+	select {
+	case lk.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Send serializes and transmits a message. Encoding errors are returned;
@@ -260,7 +282,7 @@ func (n *Network) Send(from, to wire.NodeID, msg wire.Message) error {
 	key := linkKey{from, to}
 	lk := n.links[key]
 	if lk == nil {
-		lk = &link{queue: make(chan scheduled, 4*n.cfg.InboxSize)}
+		lk = &link{wake: make(chan struct{}, 1)}
 		n.links[key] = lk
 		n.wg.Add(1)
 		go n.runLink(lk)
@@ -286,10 +308,12 @@ func (n *Network) Send(from, to wire.NodeID, msg wire.Message) error {
 		env:       Envelope{From: from, To: to, Msg: copyMsg, Size: size},
 		deliverAt: deliverAt,
 	}
-	select {
-	case lk.queue <- item:
-	default:
+	if lk.backlog.Len() >= 4*n.cfg.InboxSize {
 		n.dropped++ // link queue overflow
+	} else {
+		lk.backlog.PushBack(item)
+		lk.peak = max(lk.peak, lk.backlog.Len())
+		lk.signal()
 	}
 	n.mu.Unlock()
 	return nil
@@ -314,10 +338,22 @@ func (n *Network) latencyLocked(from, to wire.NodeID) time.Duration {
 }
 
 // runLink drains one link queue in FIFO order, sleeping until each
-// message's delivery time.
+// message's delivery time, until the network closes.
 func (n *Network) runLink(lk *link) {
 	defer n.wg.Done()
-	for item := range lk.queue {
+	for {
+		n.mu.Lock()
+		for lk.backlog.Len() == 0 && !n.closed {
+			n.mu.Unlock()
+			<-lk.wake
+			n.mu.Lock()
+		}
+		if n.closed {
+			n.mu.Unlock()
+			return
+		}
+		item := lk.backlog.PopFront()
+		n.mu.Unlock()
 		if wait := item.deliverAt.Sub(n.clk.Now()); wait > 0 {
 			n.clk.Sleep(wait)
 		}
@@ -443,9 +479,13 @@ func (n *Network) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	s := Stats{
-		ByRegionPair: make(map[[2]wire.Region]LinkStats, len(n.byPair)),
-		SentByNode:   make(map[wire.NodeID]int64, len(n.sentBy)),
-		Dropped:      n.dropped,
+		ByRegionPair:    make(map[[2]wire.Region]LinkStats, len(n.byPair)),
+		SentByNode:      make(map[wire.NodeID]int64, len(n.sentBy)),
+		Dropped:         n.dropped,
+		LinkBacklogPeak: make(map[[2]wire.NodeID]int, len(n.links)),
+	}
+	for key, lk := range n.links {
+		s.LinkBacklogPeak[[2]wire.NodeID{key.from, key.to}] = lk.peak
 	}
 	for pair, ls := range n.byPair {
 		s.ByRegionPair[[2]wire.Region{pair.from, pair.to}] = *ls
@@ -463,6 +503,9 @@ func (n *Network) ResetStats() {
 	n.byPair = make(map[regionPair]*LinkStats)
 	n.sentBy = make(map[wire.NodeID]int64)
 	n.dropped = 0
+	for _, lk := range n.links {
+		lk.peak = lk.backlog.Len()
+	}
 }
 
 // Close shuts the network down, terminating link goroutines. Messages
@@ -476,9 +519,10 @@ func (n *Network) Close() {
 	n.closed = true
 	links := n.links
 	n.links = make(map[linkKey]*link)
-	n.mu.Unlock()
 	for _, lk := range links {
-		close(lk.queue)
+		lk.backlog.Clear()
+		lk.signal()
 	}
+	n.mu.Unlock()
 	n.wg.Wait()
 }

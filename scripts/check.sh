@@ -33,6 +33,7 @@ parallelapply	y	writeset-scheduled replica applier slice
 obs	y	write-path tracing + metrics export slice
 pipeline	y	pipelined group-commit slice
 bench	y	durability pipeline bench smoke
+perfbench	y	repo benchmark module: vet, unit tests, 2 s correctness smoke
 chaos	n	fixed-seed chaos smoke (incl. shard split under load)"
 
 # stage_spec maps a test stage to its rows, one per line:
@@ -40,6 +41,7 @@ chaos	n	fixed-seed chaos smoke (incl. shard split under load)"
 #   ./pkg=Regex            go test ./pkg -run 'Regex'
 #   race:./p1 ./p2         go test -race -p 1 ./p1 ./p2
 #   bench:./pkg=Regex      go test ./pkg -run '^$' -bench=Regex -benchtime=1x
+#   sh:command             sh -c 'command'
 # (-p 1 for race rows: timing-sensitive integration tests get the machine
 # to themselves — concurrent race-instrumented packages slow the
 # schedulers enough to trip failover timeouts. One bench iteration keeps
@@ -119,6 +121,16 @@ stage_spec() {
 		bench:.=BenchmarkGroupCommitPipeline
 		EOF
 		;;
+	perfbench)
+		# The benchmark is a module of its own (perfbench/go.mod), so the
+		# root ./... never reaches it: vet it, run its unit tests, and run
+		# every workload for 2 s, whose correctness gate must pass.
+		cat <<-'EOF'
+		sh:go -C perfbench vet ./...
+		sh:go -C perfbench test .
+		sh:out=$(bash perfbench/run.sh --workload all --seconds 2) && printf '%s\n' "$out" | grep '^ops ' && printf '%s\n' "$out" | tail -n 1 | grep -q '"correct":true'
+		EOF
+		;;
 	compaction)
 		# The log-lifecycle slice across every layer it touches: binlog
 		# purge and snapshot-anchor mechanics, engine checkpoints and the
@@ -178,6 +190,11 @@ run_stage() {
 			pat=${spec#*=}
 			echo "-- bench $pat ($pkg, 1 iteration)"
 			go test "$pkg" -run '^$' -bench="$pat" -benchtime=1x
+			;;
+		sh:*)
+			cmd=${row#sh:}
+			printf '%s\n' "-- $cmd"
+			sh -c "$cmd"
 			;;
 		race:*)
 			pkgs=${row#race:}
